@@ -1,12 +1,11 @@
 //! Criterion bench for the headline algorithm: the end-to-end
-//! expander-routed triangle enumeration pipeline, against the analytic
-//! congest_algo on the same inputs. This is the workload the CI
-//! bench-regression gate tracks (`BENCH_baseline.json`).
+//! expander-routed triangle enumeration pipeline, with engine-mode and
+//! wire-format ablations. This is the workload the CI bench-regression
+//! gate tracks (`BENCH_baseline.json`).
 
 use bench_suite::gnp_family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use triangle::pipeline::{enumerate_via_decomposition, Packing, PipelineParams};
-use triangle::{congest_enumerate, TriangleConfig};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
@@ -15,9 +14,6 @@ fn bench_pipeline(c: &mut Criterion) {
         let g = gnp_family(n, 0.3, 42 + n as u64);
         group.bench_with_input(BenchmarkId::new("gnp", n), &g, |b, g| {
             b.iter(|| enumerate_via_decomposition(g, &PipelineParams::default()))
-        });
-        group.bench_with_input(BenchmarkId::new("congest_algo_gnp", n), &g, |b, g| {
-            b.iter(|| congest_enumerate(g, &TriangleConfig::default()))
         });
     }
     let (ring, _) = graph::gen::ring_of_cliques(6, 8).unwrap();

@@ -2,14 +2,18 @@
 //! CONGESTED-CLIQUE.
 //!
 //! Workload: `G(n, p)` (the Ω̃(n^{1/3}) lower-bound family uses p = 1/2).
-//! For each n: enumerate with the Theorem 2 CONGEST algorithm and the DLP
+//! For each n: enumerate with the Theorem 2 CONGEST pipeline and the DLP
 //! clique baseline; verify completeness against ground truth; report
-//! rounds and the fitted growth exponents. The paper's claim: both models
-//! are `Θ̃(n^{1/3})` — exponents should be close (up to polylog drift),
-//! and the DLP exponent ≈ 1/3.
+//! rounds and the fitted growth exponents. CONGEST rounds are the
+//! pipeline's per-level charges: analytic decomposition and routing
+//! rounds plus the measured engine rounds of the adjacency exchange. The
+//! paper's claim: both models are `Θ̃(n^{1/3})` — exponents should be
+//! close (up to polylog drift), and the DLP exponent ≈ 1/3.
 
 use bench_suite::{fit_exponent, gnp_family, Table};
-use triangle::{clique_enumerate, congest_enumerate, enumerate_triangles, TriangleConfig};
+use triangle::{
+    clique_enumerate, enumerate_triangles, enumerate_via_decomposition, PipelineParams,
+};
 
 fn main() {
     let mut table = Table::new(
@@ -33,7 +37,7 @@ fn main() {
     for &n in sizes {
         let g = gnp_family(n, 0.5, 42 + n as u64);
         let truth = enumerate_triangles(&g);
-        let congest = congest_enumerate(&g, &TriangleConfig::default());
+        let congest = enumerate_via_decomposition(&g, &PipelineParams::default());
         let clique = clique_enumerate(&g);
         let complete = congest.triangles == truth && clique.triangles == truth;
         // Listing-only rounds: the component the n^{1/3} shape governs
@@ -41,24 +45,19 @@ fn main() {
         let listing: u64 = congest
             .levels
             .iter()
-            .map(|l| l.routing_build_rounds + l.listing_rounds)
+            .map(|l| l.rounds() - l.decomposition_rounds)
             .sum();
-        let queries: u64 = congest
-            .levels
-            .iter()
-            .map(|l| l.max_queries)
-            .max()
-            .unwrap_or(0);
+        let queries = congest.max_routing_queries();
         table.row(vec![
             n.to_string(),
             g.m().to_string(),
             truth.len().to_string(),
-            congest.rounds.to_string(),
+            congest.total_rounds().to_string(),
             listing.to_string(),
             clique.rounds.to_string(),
             complete.to_string(),
         ]);
-        congest_pts.push((n as f64, congest.rounds.max(1) as f64));
+        congest_pts.push((n as f64, congest.total_rounds().max(1) as f64));
         listing_pts.push((n as f64, listing.max(1) as f64));
         query_pts.push((n as f64, queries.max(1) as f64));
         clique_pts.push((n as f64, clique.rounds.max(1) as f64));

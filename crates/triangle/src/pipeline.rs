@@ -6,10 +6,9 @@
 //! its [`expander::ClusterAssignment`] contract), [`routing`]'s batched
 //! [`routing::EdgeBatch`] deliveries, and the [`congest`] engine in
 //! [`ExecMode::Parallel`] — into the single entry point
-//! [`enumerate_via_decomposition`]. Where [`crate::congest_algo`] charges
-//! the listing rounds analytically, the pipeline *executes* the
-//! intra-cluster exchange as a real [`congest::VertexProgram`] per cluster
-//! and reports measured engine traffic per phase next to the analytic
+//! [`enumerate_via_decomposition`]. The intra-cluster exchange is
+//! *executed* as a real [`congest::VertexProgram`] per cluster, so the
+//! report carries measured engine traffic per phase next to the analytic
 //! routing/decomposition charges and the paper's budgets.
 //!
 //! Per recursion level, on the current edge set `E`:
@@ -733,7 +732,6 @@ fn run_cluster(
         &mut scratch.adj,
     ));
 
-    let dbg_scale = std::env::var_os("PIPELINE_PHASE_DEBUG").is_some() && local_n > 10_000;
     let t_route = Instant::now();
     // ── Phase: route — closed-form redistribution accounting of the
     // cluster-incident edge slices to the DLP triple owners, charged via
@@ -748,9 +746,6 @@ fn run_cluster(
         &mut scratch,
     );
     let wall_dlp = t_route.elapsed();
-    if dbg_scale {
-        eprintln!("    cluster n={local_n}: route {wall_dlp:.2?}");
-    }
     let t_engine = Instant::now();
 
     // ── Phase: enumerate — the bandwidth-packed adjacency exchange on
@@ -801,12 +796,6 @@ fn run_cluster(
         .run_collect(make, max_items + 2)
         .expect("adjacency exchange is a valid CONGEST program");
     let wall_exchange = t_engine.elapsed();
-    if dbg_scale {
-        eprintln!(
-            "    cluster n={local_n}: engine {wall_exchange:.2?} ({} rounds, {} msgs)",
-            engine.rounds, engine.messages
-        );
-    }
     let t_join = Instant::now();
 
     // Local joins: for every intra-cluster edge {u, v} (lower local id
@@ -833,9 +822,6 @@ fn run_cluster(
     triangles.sort_unstable();
     triangles.dedup();
     let wall_join = t_join.elapsed();
-    if dbg_scale {
-        eprintln!("    cluster n={local_n}: join {wall_join:.2?}");
-    }
 
     // The programs held the only other Arc clones; reclaim the adjacency
     // buffers into the arena for the next job.
@@ -908,11 +894,7 @@ fn route_cluster_slices(
     // incident edge slice, recorded by its local id (`part.iter()` is
     // sorted, so the member-list index IS the local id).
     let instance = dlp::DlpInstance::new(current, part, members, derive_seed(cluster_seed, 2));
-    let loads = instance.aggregate_loads(
-        dlp::PairWeighting::DedupPairs,
-        &mut scratch.pair_raw,
-        &mut scratch.holder_inc,
-    );
+    let loads = instance.aggregate_loads(&mut scratch.pair_raw, &mut scratch.holder_inc);
     let outcome = hierarchy
         .route_edge_loads(sub.graph(), &loads.holders, &loads.owners)
         .expect("load endpoints are cluster-local");

@@ -1,18 +1,20 @@
 //! Triangle census: the paper's headline result in action.
 //!
 //! Enumerates all triangles of a "social network"-style graph three ways —
-//! centralized ground truth, the CONGEST algorithm of Theorem 2, and the
+//! centralized ground truth, the CONGEST pipeline of Theorem 2, and the
 //! Dolev–Lenzen–Peled CONGESTED-CLIQUE baseline — and compares round
 //! counts, reproducing the claim that CONGEST matches CONGESTED-CLIQUE up
-//! to polylogarithmic factors.
+//! to polylogarithmic factors. The pipeline's rounds are analytic
+//! decomposition and routing charges plus the measured engine rounds of
+//! the intra-cluster adjacency exchange.
 //!
 //! Run with: `cargo run --release --example triangle_census`
 
 use expander_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Two overlapping communities plus background noise: plenty of
-    // triangles inside communities, a few across.
+    // Three communities plus background noise: plenty of triangles
+    // inside communities, a few across.
     let pp = gen::planted_partition(&[40, 40, 40], 0.35, 0.03, 9)?;
     let g = &pp.graph;
     println!("graph: n = {}, m = {}", g.n(), g.m());
@@ -22,27 +24,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ground truth: {} triangles", truth.len());
 
     // Theorem 2: CONGEST via expander decomposition + expander routing.
-    let congest_out = congest_enumerate(g, &TriangleConfig::default());
+    let congest_out = enumerate_via_decomposition(g, &PipelineParams::default());
     assert_eq!(
         congest_out.triangles, truth,
         "CONGEST listing must be complete"
     );
     println!(
-        "CONGEST:  {} triangles in {} charged rounds ({} recursion levels)",
-        congest_out.triangles.len(),
-        congest_out.rounds,
-        congest_out.levels.len()
+        "CONGEST:  {} triangles in {} rounds ({} recursion levels, residual {} rounds)",
+        congest_out.count(),
+        congest_out.total_rounds(),
+        congest_out.levels.len(),
+        congest_out.residual_rounds
     );
-    for (i, l) in congest_out.levels.iter().enumerate() {
+    for l in &congest_out.levels {
         println!(
-            "  level {i}: m = {:>6}, clusters = {:>3}, decomp = {:>10} rounds, \
-             routing build = {:>8}, listing = {:>8} ({} queries)",
+            "  level {}: m = {:>6}, clusters = {:>3}, decomp = {:>10} rounds, \
+             routing build = {:>8}, routing = {:>8} ({} queries), exchange = {:>4}",
+            l.depth,
             l.m,
             l.clusters,
             l.decomposition_rounds,
             l.routing_build_rounds,
-            l.listing_rounds,
-            l.max_queries
+            l.routing_rounds,
+            l.routing_queries,
+            l.engine.rounds
         );
     }
 
@@ -59,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nCONGEST/CLIQUE round ratio: {:.1}x — the polylog gap of Theorem 2",
-        congest_out.rounds as f64 / clique_out.rounds.max(1) as f64
+        congest_out.total_rounds() as f64 / clique_out.rounds.max(1) as f64
     );
     Ok(())
 }
