@@ -16,6 +16,12 @@ fn bench_sparse_cut(c: &mut Criterion) {
     group.bench_function("expander_certify", |b| {
         b.iter(|| nearly_most_balanced_sparse_cut(&expander, 0.002, ParamMode::Practical, 4, 3))
     });
+    // Truncated walks on this graph soon cover all of it and stay there:
+    // the full-support regime of the walk step and the sweep order.
+    let expander_512 = gen::random_regular(512, 10, 5).unwrap();
+    group.bench_function("expander_certify_512", |b| {
+        b.iter(|| nearly_most_balanced_sparse_cut(&expander_512, 0.002, ParamMode::Practical, 4, 3))
+    });
     let (bar, _) = gen::barbell(12).unwrap();
     group.bench_function("single_nibble", |b| {
         let params = NibbleParams::new(0.05, bar.m(), ParamMode::Practical);

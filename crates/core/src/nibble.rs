@@ -39,10 +39,13 @@ impl NibbleOutcome {
 }
 
 /// Shared sweep state at one time step `t`: support ordered by decreasing
-/// `ρ̃_t`, with prefix volumes and prefix boundaries. The vectors are
-/// reused across the `t₀` steps of a run (cleared, capacity kept) — a
-/// fresh `O(support)` allocation triple per step was almost pure
-/// mmap/munmap traffic once walks spread over large components.
+/// `ρ̃_t` (ties by id), with prefix volumes and prefix boundaries. The
+/// order comes from [`WalkDistribution::support_by_rho_into`], a sort of
+/// integer keys that yields the comparator order exactly.
+/// The vectors are reused across the `t₀` steps of a run (cleared,
+/// capacity kept) — a fresh `O(support)` allocation triple per step was
+/// almost pure mmap/munmap traffic once walks spread over large
+/// components.
 #[derive(Default)]
 struct Sweep {
     order: Vec<VertexId>,
@@ -50,9 +53,10 @@ struct Sweep {
     vol: Vec<usize>,
     /// `boundary[i]` = `|∂(prefix of length i+1)|`.
     boundary: Vec<usize>,
-    /// Sort-key scratch: `(ρ̃, v)` pairs, so each vertex's normalized
-    /// mass is computed once instead of twice per sort comparison.
-    keyed: Vec<(f64, VertexId)>,
+    /// Sort scratch for [`WalkDistribution::support_by_rho_into`]:
+    /// `(key, v)` pairs with the integer key of `ρ̃(v)`, so each
+    /// normalized mass is computed once per step.
+    keyed: Vec<(u64, VertexId)>,
 }
 
 impl Sweep {
@@ -237,8 +241,6 @@ fn run(
     );
     let eps = params.eps_b(b);
     let total_vol = g.total_volume();
-    let n = g.n().max(2);
-    let log_n = (n as f64).log2().ceil() as u64;
     let mut ledger = RoundLedger::new();
     // Participants accumulate via a mark vector + member list (a sorted
     // VertexSet insert per support vertex per step was quadratic in the
@@ -320,7 +322,6 @@ fn run(
         let search = (sweep.len().max(2) as f64).log2().ceil() as u64;
         last_search_charge = candidates.len() as u64 * (search + 1) * params.t0 as u64;
         ledger.charge("nibble.sweep_search", last_search_charge);
-        let _ = log_n;
         for (j, cond) in candidates {
             if check_candidate(g, &p, &sweep, params, b, j, cond, total_vol) {
                 let cut = VertexSet::from_iter(g.n(), sweep.order[..j].iter().copied());

@@ -180,3 +180,165 @@ fn parallel_composition_takes_max_not_sum() {
         one.ledger.total()
     );
 }
+
+/// FNV-1a over a word stream: a compact, dependency-free digest for the
+/// golden decomposition pins below.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Everything a decomposition outputs, reduced to what a golden pin
+/// compares: part sizes, a digest of the sorted parts (each terminated
+/// by `u64::MAX`), the removed-edge count, a digest of the removed
+/// edges with their tags, and every round-ledger category.
+fn decomposition_fingerprint(
+    g: &Graph,
+    seed: u64,
+) -> (Vec<usize>, u64, usize, u64, Vec<(String, u64)>) {
+    let res = ExpanderDecomposition::builder()
+        .epsilon(1.0 / 6.0)
+        .k(2)
+        .seed(seed)
+        .build()
+        .run(g)
+        .unwrap();
+    let mut parts: Vec<Vec<VertexId>> = res.parts.iter().map(|p| p.iter().collect()).collect();
+    parts.sort();
+    let sizes = parts.iter().map(Vec::len).collect();
+    let parts_digest = fnv1a(
+        parts
+            .iter()
+            .flat_map(|p| p.iter().map(|&v| v as u64).chain([u64::MAX])),
+    );
+    let removed_digest = fnv1a(res.removed_edges.iter().flat_map(|&(u, v, tag)| {
+        let tag = match tag {
+            RemovalTag::Remove1 => 1,
+            RemovalTag::Remove2 => 2,
+            RemovalTag::Remove3 => 3,
+        };
+        [u as u64, v as u64, tag]
+    }));
+    let ledger = res
+        .ledger
+        .iter()
+        .map(|(category, rounds)| (category.to_string(), rounds))
+        .collect();
+    (
+        sizes,
+        parts_digest,
+        res.removed_edges.len(),
+        removed_digest,
+        ledger,
+    )
+}
+
+/// One golden decomposition: the instance's name and every output
+/// [`decomposition_fingerprint`] reduces it to.
+struct Golden {
+    name: &'static str,
+    sizes: &'static [usize],
+    parts_digest: u64,
+    removed: usize,
+    removed_digest: u64,
+    ledger: &'static [(&'static str, u64)],
+}
+
+/// FNV-1a of the empty stream: the removed-edge digest of a
+/// decomposition that removed nothing.
+const EMPTY_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn golden_decomposition_pin() {
+    // Recorded before the walk kernels (integer-key sweep order,
+    // full-support step) changed: any later change to the walk or sweep
+    // arithmetic that moves one bit of the decomposition — a part, a
+    // removed edge, or a round charge — fails here.
+    //
+    // One planted block of the `scale_planted_partition(100_000, 42)`
+    // instance: n = 16,666 vertices in 8 blocks of 2,083, with 80% of
+    // the 10⁵ edges inside blocks. Truncated walks on a block this size
+    // cover all of it, the regime of the full-support walk step.
+    let (n, blocks) = (16_666usize, 8usize);
+    let size = n / blocks;
+    let intra_pairs = blocks as f64 * (size * (size - 1) / 2) as f64;
+    let p_in = 0.8 * 100_000.0 / intra_pairs;
+    let block = gen::planted_partition_fast(&[size], p_in, 0.0, 42)
+        .unwrap()
+        .graph;
+    let (ring, _) = gen::ring_of_cliques(12, 10).unwrap();
+    let power = gen::power_law_fast(2_000, 2.5, 10.0, 7).unwrap();
+    assert_eq!((block.n(), block.m()), (2_083, 9_932));
+    assert_eq!((power.n(), power.m()), (2_000, 9_981));
+    let goldens = [
+        Golden {
+            name: "planted block",
+            sizes: &[2_083],
+            parts_digest: 8_066_930_654_048_403_254,
+            removed: 0,
+            removed_digest: EMPTY_DIGEST,
+            ledger: &[
+                ("ldd.classify", 122_897),
+                ("ldd.clustering", 166_185),
+                ("ldd.dense_merge", 4_338_889),
+                ("parallel_nibble.execution", 22_783_598_592),
+                ("parallel_nibble.generation", 8_380),
+                ("parallel_nibble.selection", 99_984),
+            ],
+        },
+        Golden {
+            name: "ring of cliques",
+            sizes: &[10; 12],
+            parts_digest: 1_629_062_717_930_461_573,
+            removed: 12,
+            removed_digest: 11_338_404_086_879_628_933,
+            ledger: &[
+                ("ldd.classify", 3_840),
+                ("ldd.clustering", 159_895),
+                ("ldd.dense_merge", 18_100),
+                ("parallel_nibble.execution", 420_246_016),
+                ("parallel_nibble.generation", 748),
+                ("parallel_nibble.selection", 3_360),
+            ],
+        },
+        Golden {
+            name: "power law",
+            sizes: &[1_993, 1, 1, 1, 1, 1, 1, 1],
+            parts_digest: 2_737_526_753_482_198_785,
+            removed: 0,
+            removed_digest: EMPTY_DIGEST,
+            ledger: &[
+                ("ldd.classify", 115_594),
+                ("ldd.clustering", 163_545),
+                ("ldd.dense_merge", 3_972_049),
+                ("parallel_nibble.execution", 19_697_389_568),
+                ("parallel_nibble.generation", 8_044),
+                ("parallel_nibble.selection", 88_000),
+            ],
+        },
+    ];
+    for (g, golden) in [&block, &ring, &power].into_iter().zip(&goldens) {
+        let (sizes, parts_digest, removed, removed_digest, ledger) =
+            decomposition_fingerprint(g, 5);
+        let name = golden.name;
+        assert_eq!(sizes, golden.sizes, "{name}: part sizes");
+        assert_eq!(parts_digest, golden.parts_digest, "{name}: parts");
+        assert_eq!(removed, golden.removed, "{name}: removed edges");
+        assert_eq!(
+            removed_digest, golden.removed_digest,
+            "{name}: removed-edge digest"
+        );
+        let expected: Vec<(String, u64)> = golden
+            .ledger
+            .iter()
+            .map(|&(category, rounds)| (category.to_string(), rounds))
+            .collect();
+        assert_eq!(ledger, expected, "{name}: round ledger");
+    }
+}
